@@ -1,15 +1,23 @@
 // Micro-benchmarks of the substrates (google-benchmark): dense GEMM, sparse
-// propagation, GCN inference, exact-Jacobian influence, VF2 matching,
-// canonical codes, and pattern mining.
+// propagation, GCN inference, exact-Jacobian influence, subgraph matching,
+// coverage (production matcher vs the blind oracle), canonical codes, and
+// pattern mining.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "data/malnet.h"
 #include "data/mutagenicity.h"
 #include "gnn/influence.h"
 #include "gnn/gcn_model.h"
+#include "graph/subgraph.h"
 #include "la/matrix_ops.h"
+#include "oracle/blind_matcher.h"
 #include "pattern/canonical.h"
-#include "pattern/isomorphism.h"
+#include "pattern/coverage.h"
+#include "pattern/matcher.h"
 #include "pattern/miner.h"
 #include "util/rng.h"
 
@@ -104,10 +112,116 @@ void BM_SubgraphIsomorphism(benchmark::State& state) {
   (void)nitro.AddEdge(n, o1);
   (void)nitro.AddEdge(n, o2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FindMatches(nitro, g));
+    benchmark::DoNotOptimize(FilteredFindMatches(nitro, g));
   }
 }
 BENCHMARK(BM_SubgraphIsomorphism);
+
+// Explanation-sized coverage work as Psum does it: PGen candidates (up to
+// 3 nodes, as the benchmark workloads mine) over a group of subgraphs, one
+// coverage per (candidate, subgraph). Arg 0: MUT-like molecules cut to
+// 12-node connected subgraphs; arg 1: MAL-like directed call graphs cut
+// to 15 nodes.
+struct CoverageWork {
+  std::vector<Graph> subgraphs;
+  std::vector<Pattern> candidates;
+  size_t calls() const { return subgraphs.size() * candidates.size(); }
+};
+
+// The first `k` nodes reached by BFS from node 0, edges in either
+// orientation.
+std::vector<NodeId> BfsPrefix(const Graph& g, int k) {
+  std::vector<std::vector<NodeId>> nbrs(static_cast<size_t>(g.num_nodes()));
+  for (const Edge& e : g.edges()) {
+    nbrs[static_cast<size_t>(e.u)].push_back(e.v);
+    nbrs[static_cast<size_t>(e.v)].push_back(e.u);
+  }
+  std::vector<bool> seen(static_cast<size_t>(g.num_nodes()), false);
+  std::vector<NodeId> order{0};
+  seen[0] = true;
+  for (size_t head = 0;
+       head < order.size() && static_cast<int>(order.size()) < k; ++head) {
+    for (NodeId u : nbrs[static_cast<size_t>(order[head])]) {
+      if (seen[static_cast<size_t>(u)]) continue;
+      seen[static_cast<size_t>(u)] = true;
+      order.push_back(u);
+      if (static_cast<int>(order.size()) == k) break;
+    }
+  }
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+const CoverageWork& CoverageWorkFor(int shape) {
+  static const CoverageWork* works[2] = {nullptr, nullptr};
+  if (works[shape] == nullptr) {
+    GraphDatabase db;
+    if (shape == 0) {
+      MutagenicityOptions opt;
+      opt.num_graphs = 12;
+      db = GenerateMutagenicity(opt);
+    } else {
+      MalnetOptions opt;
+      opt.num_graphs = 10;
+      db = GenerateMalnet(opt);
+    }
+    auto* work = new CoverageWork;
+    const int k = shape == 0 ? 12 : 15;
+    for (int i = 0; i < db.size(); ++i) {
+      work->subgraphs.push_back(
+          ExtractInducedSubgraph(db.graph(i), BfsPrefix(db.graph(i), k))
+              .value()
+              .graph);
+    }
+    MinerOptions opt;
+    opt.max_pattern_nodes = 3;
+    for (MinedPattern& mp : MinePatterns(work->subgraphs, opt)) {
+      work->candidates.push_back(std::move(mp.pattern));
+    }
+    works[shape] = work;
+  }
+  return *works[shape];
+}
+
+// The blind oracle, enumerating matches under the default cap and marking
+// each matched pattern edge by a scan of the edge list.
+void BM_CoverageOracle(benchmark::State& state) {
+  const CoverageWork& work = CoverageWorkFor(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    int covered = 0;
+    for (const Pattern& p : work.candidates) {
+      for (const Graph& g : work.subgraphs) {
+        covered += oracle::BlindCoverage(p, g).CountNodes();
+      }
+    }
+    benchmark::DoNotOptimize(covered);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(work.calls()));
+}
+BENCHMARK(BM_CoverageOracle)->Arg(0)->Arg(1);
+
+// The production path: each subgraph and each candidate prepared once
+// (inside the timed loop), then the exact-union coverage per pair.
+void BM_CoverageProduction(benchmark::State& state) {
+  const CoverageWork& work = CoverageWorkFor(static_cast<int>(state.range(0)));
+  std::vector<const Graph*> ptrs;
+  for (const Graph& g : work.subgraphs) ptrs.push_back(&g);
+  for (auto _ : state) {
+    const std::vector<PreparedGraph> prepared = PrepareGraphs(ptrs);
+    int covered = 0;
+    for (const Pattern& p : work.candidates) {
+      const PreparedGraph pattern(p.graph());
+      for (const PreparedGraph& g : prepared) {
+        covered += ComputeCoverage(pattern, g).CountNodes();
+      }
+    }
+    benchmark::DoNotOptimize(covered);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(work.calls()));
+}
+BENCHMARK(BM_CoverageProduction)->Arg(0)->Arg(1);
 
 void BM_CanonicalCode(benchmark::State& state) {
   Graph ring;

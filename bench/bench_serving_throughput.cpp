@@ -1,5 +1,6 @@
 // Serving-path benchmark: the indexed ViewService against the legacy
-// linear-scan ViewStore on a 1k-pattern store. Measures end-to-end query
+// linear-scan store (the test oracle in tests/oracle/legacy_view_store.h)
+// on a 1k-pattern store. Measures end-to-end query
 // throughput (queries/sec) and tail latency (p50/p99) on a mixed workload
 // — per-label containment queries, exact tier lookups, full-database
 // pattern queries, and discriminative-pattern queries — and records the
@@ -28,9 +29,9 @@
 #include <vector>
 
 #include "common.h"
+#include "oracle/legacy_view_store.h"
 #include "serve/synthetic_store.h"
 #include "serve/view_service.h"
-#include "serve/view_store.h"
 #include "util/timer.h"
 
 using namespace gvex;
@@ -59,9 +60,9 @@ synthetic::SyntheticStore MakeStore(uint64_t seed) {
   return synthetic::MakeSyntheticStore(seed, opt);
 }
 
-// --- The mixed query workload, runnable against both front ends (ViewStore
-// and ViewService expose the same query signatures). Returns a checksum so
-// the two paths can be asserted identical. ---
+// --- The mixed query workload, runnable against both front ends (the
+// legacy store and ViewService expose the same query signatures). Returns
+// a checksum so the two paths can be asserted identical. ---
 
 template <typename Front>
 uint64_t RunOne(const Front& front, const ViewQuery& q) {
@@ -149,9 +150,7 @@ int main() {
   }
 
   // Legacy scan front end (the oracle the index is pinned against).
-  ViewStoreOptions legacy_opts;
-  legacy_opts.use_index = false;
-  ViewStore legacy(&store.db, legacy_opts);
+  oracle::LegacyViewStore legacy(&store.db);
   for (const ExplanationView& v : store.views) legacy.AddView(v);
   Timer legacy_timer;
   const uint64_t legacy_sum = RunWorkload(legacy, queries, nullptr);
@@ -209,7 +208,7 @@ int main() {
   stress_opt.extra_edge_prob = 0.4;
   synthetic::SyntheticStore stress =
       synthetic::MakeSyntheticStore(1042, stress_opt);
-  ViewStore stress_legacy(&stress.db, legacy_opts);
+  oracle::LegacyViewStore stress_legacy(&stress.db);
   for (const ExplanationView& v : stress.views) stress_legacy.AddView(v);
   ViewService stress_service(&stress.db, cold_opts);
   if (!stress_service.AdmitViews(stress.views).ok()) {

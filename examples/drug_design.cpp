@@ -11,9 +11,9 @@
 #include "data/datasets.h"
 #include "data/motifs.h"
 #include "explain/approx_gvex.h"
-#include "explain/view_query.h"
 #include "gnn/trainer.h"
 #include "pattern/gspan.h"
+#include "serve/view_store.h"
 
 using namespace gvex;
 

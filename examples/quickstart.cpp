@@ -12,8 +12,8 @@
 #include "explain/approx_gvex.h"
 #include "explain/metrics.h"
 #include "explain/verify.h"
-#include "explain/view_query.h"
 #include "gnn/trainer.h"
+#include "serve/view_store.h"
 
 using namespace gvex;
 

@@ -8,9 +8,9 @@
 
 #include "data/datasets.h"
 #include "explain/approx_gvex.h"
-#include "explain/view_query.h"
 #include "gnn/trainer.h"
 #include "pattern/miner.h"
+#include "serve/view_store.h"
 
 using namespace gvex;
 

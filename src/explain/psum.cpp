@@ -50,15 +50,17 @@ Result<PsumResult> Psum(const std::vector<const Graph*>& subgraphs,
   // accumulator, and the accumulators are spliced back in shard-index order
   // at the barrier, so the table is byte-identical however the shards were
   // scheduled.
+  // Each subgraph and each candidate is prepared for the matcher once; the
+  // prepared subgraphs are read-only, so the shards share them.
   MatchOptions mo;
   mo.semantics = mopts.semantics;
   const int num_candidates = static_cast<int>(mined.size());
+  const std::vector<PreparedGraph> prepared = PrepareGraphs(subgraphs);
   auto cover_one = [&](int c) {
     CandidateCoverage cc;
+    const PreparedGraph pattern(mined[static_cast<size_t>(c)].pattern.graph());
     for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
-      CoverageMask mask =
-          ComputeCoverage(mined[static_cast<size_t>(c)].pattern,
-                          *subgraphs[gi], mo);
+      CoverageMask mask = ComputeCoverage(pattern, prepared[gi], mo);
       for (size_t v = 0; v < mask.nodes.size(); ++v) {
         if (mask.nodes[v]) {
           cc.nodes.push_back(node_base[gi] + static_cast<int>(v));

@@ -110,9 +110,10 @@ void StreamGraphState::IncUpdateP() {
   }
   MatchOptions mo;
   mo.semantics = config_->miner.semantics;
+  const PreparedGraph target(gs);
 
   // Mask nodes already covered by retained patterns (Procedure 5 / Fig. 4).
-  CoverageMask covered = ComputeCoverage(patterns_, gs, mo);
+  CoverageMask covered = ComputeCoverage(patterns_, target, mo);
   std::vector<NodeId> uncovered;
   for (NodeId v = 0; v < gs.num_nodes(); ++v) {
     if (!covered.nodes[static_cast<size_t>(v)]) uncovered.push_back(v);
@@ -137,7 +138,8 @@ void StreamGraphState::IncUpdateP() {
       for (const Pattern& p : patterns_) have.insert(p.canonical_code());
       for (const auto& mp : mined) {
         if (have.count(mp.pattern.canonical_code())) continue;
-        CoverageMask m = ComputeCoverage(mp.pattern, gs, mo);
+        CoverageMask m =
+            ComputeCoverage(PreparedGraph(mp.pattern.graph()), target, mo);
         bool helps = false;
         for (NodeId v : uncovered) {
           if (m.nodes[static_cast<size_t>(v)]) {
@@ -167,7 +169,7 @@ void StreamGraphState::IncUpdateP() {
       for (size_t j = 0; j < patterns_.size(); ++j) {
         if (j != i) others.push_back(patterns_[j]);
       }
-      CoverageMask without = ComputeCoverage(others, gs, mo);
+      CoverageMask without = ComputeCoverage(others, target, mo);
       if (without.AllNodes()) {
         patterns_.erase(patterns_.begin() + static_cast<std::ptrdiff_t>(i));
       } else {

@@ -137,15 +137,12 @@ void RunConnection(const LoadgenOptions& opts,
     p.events = POLLIN;
     if (out_off < outbuf.size()) p.events |= POLLOUT;
     p.revents = 0;
-    int timeout_ms = 100;
+    timespec wait = OpenLoopWait(0.1);
     if (per_conn_qps > 0 && sent < opts.requests_per_conn) {
-      const double until_due =
-          std::chrono::duration<double>(due(sent) - Clock::now()).count();
-      timeout_ms = std::max(0, std::min(100, static_cast<int>(
-                                                 until_due * 1000.0) +
-                                                 1));
+      wait = OpenLoopWait(
+          std::chrono::duration<double>(due(sent) - Clock::now()).count());
     }
-    const int nready = ::poll(&p, 1, timeout_ms);
+    const int nready = ::ppoll(&p, 1, &wait, nullptr);
     if (nready < 0 && errno != EINTR) break;
 
     if (p.revents & POLLOUT) {
@@ -232,6 +229,15 @@ double Percentile(std::vector<double>* v, double p) {
 }
 
 }  // namespace
+
+timespec OpenLoopWait(double until_due_sec) {
+  const double clamped = std::max(0.0, std::min(0.1, until_due_sec));
+  const long long ns = static_cast<long long>(clamped * 1e9);
+  timespec ts;
+  ts.tv_sec = static_cast<time_t>(ns / 1'000'000'000LL);
+  ts.tv_nsec = static_cast<long>(ns % 1'000'000'000LL);
+  return ts;
+}
 
 Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options,
                                  const std::vector<LoadgenRequest>& mix) {

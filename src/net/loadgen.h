@@ -30,6 +30,8 @@
 #ifndef GVEX_NET_LOADGEN_H_
 #define GVEX_NET_LOADGEN_H_
 
+#include <time.h>
+
 #include <cstdint>
 #include <map>
 #include <string>
@@ -80,6 +82,12 @@ struct LoadgenReport {
 /// shows up as errors/divergences/aborted_connections in the report.
 Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options,
                                  const std::vector<LoadgenRequest>& mix);
+
+/// The open-loop wait before the next request falls due: `until_due_sec`
+/// clamped to [0, 0.1] s, kept to the nanosecond. A whole-millisecond wait
+/// would oversleep every sub-ms gap, and open-loop latency counts the
+/// oversleep.
+timespec OpenLoopWait(double until_due_sec);
 
 /// Fetches one `metrics` scrape over its own blocking connection: sends
 /// the verb, reads the "ok metrics <n>" header plus n exposition lines,

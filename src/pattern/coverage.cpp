@@ -5,6 +5,17 @@
 
 namespace gvex {
 
+namespace {
+
+CoverageMask EmptyMask(const Graph& g) {
+  CoverageMask mask;
+  mask.nodes.assign(static_cast<size_t>(g.num_nodes()), false);
+  mask.edges.assign(static_cast<size_t>(g.num_edges()), false);
+  return mask;
+}
+
+}  // namespace
+
 int CoverageMask::CountNodes() const {
   return static_cast<int>(std::count(nodes.begin(), nodes.end(), true));
 }
@@ -19,37 +30,30 @@ bool CoverageMask::AllNodes() const {
 
 CoverageMask ComputeCoverage(const Pattern& pattern, const Graph& g,
                              const MatchOptions& options) {
-  CoverageMask mask;
-  mask.nodes.assign(static_cast<size_t>(g.num_nodes()), false);
-  mask.edges.assign(static_cast<size_t>(g.num_edges()), false);
-  auto matches = FindMatches(pattern.graph(), g, options);
-  if (matches.empty()) return mask;
-  // Index data edges for O(1) lookup by endpoints.
-  for (const Match& m : matches) {
-    for (NodeId v : m) mask.nodes[static_cast<size_t>(v)] = true;
-    for (const Edge& pe : pattern.graph().edges()) {
-      NodeId a = m[static_cast<size_t>(pe.u)];
-      NodeId b = m[static_cast<size_t>(pe.v)];
-      for (size_t ei = 0; ei < g.edges().size(); ++ei) {
-        const Edge& ge = g.edges()[ei];
-        if ((ge.u == a && ge.v == b) || (ge.u == b && ge.v == a)) {
-          mask.edges[ei] = true;
-          break;
-        }
-      }
-    }
-  }
+  return ComputeCoverage(PreparedGraph(pattern.graph()), PreparedGraph(g),
+                         options);
+}
+
+CoverageMask ComputeCoverage(const PreparedGraph& pattern,
+                             const PreparedGraph& g,
+                             const MatchOptions& options) {
+  CoverageMask mask = EmptyMask(g.graph());
+  MarkEmbeddingUnion(pattern, g, options, &mask.nodes, &mask.edges);
   return mask;
 }
 
 CoverageMask ComputeCoverage(const std::vector<Pattern>& patterns,
                              const Graph& g, const MatchOptions& options) {
-  CoverageMask total;
-  total.nodes.assign(static_cast<size_t>(g.num_nodes()), false);
-  total.edges.assign(static_cast<size_t>(g.num_edges()), false);
+  return ComputeCoverage(patterns, PreparedGraph(g), options);
+}
+
+CoverageMask ComputeCoverage(const std::vector<Pattern>& patterns,
+                             const PreparedGraph& g,
+                             const MatchOptions& options) {
+  CoverageMask total = EmptyMask(g.graph());
   for (const Pattern& p : patterns) {
-    CoverageMask m = ComputeCoverage(p, g, options);
-    MergeCoverage(m, &total);
+    MarkEmbeddingUnion(PreparedGraph(p.graph()), g, options, &total.nodes,
+                       &total.edges);
   }
   return total;
 }

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "pattern/canonical.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 
 namespace gvex {
 
@@ -14,54 +14,21 @@ namespace {
 // Support counting with a fixed semantics (non-induced during growth keeps
 // the anti-monotone property; induced matching can gain matches as patterns
 // grow, which would break pruning).
-int CountSupport(const Graph& pattern, const std::vector<const Graph*>& graphs,
+int CountSupport(const Graph& pattern,
+                 const std::vector<PreparedGraph>& graphs,
                  MatchSemantics semantics, int min_needed) {
   MatchOptions opt;
   opt.semantics = semantics;
-  opt.max_matches = 1;
+  const PreparedGraph prepared(pattern);
   int support = 0;
   const int remaining_possible = static_cast<int>(graphs.size());
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     if (support + (remaining_possible - static_cast<int>(gi)) < min_needed) {
       return support;  // cannot reach min_support anymore
     }
-    if (ContainsPattern(*graphs[gi], pattern.num_nodes() == 0 ? pattern
-                                                              : pattern,
-                        opt)) {
-      ++support;
-    }
+    if (FilteredContainsPattern(graphs[gi], prepared, opt)) ++support;
   }
   return support;
-}
-
-// Full statistics under the configured semantics (mirrors the level-wise
-// miner's accounting).
-void FillStats(const Graph& pattern, const std::vector<const Graph*>& graphs,
-               const MinerOptions& opt, MinedPattern* out) {
-  out->support = 0;
-  out->total_matches = 0;
-  std::set<std::pair<int, NodeId>> nodes_covered;
-  std::set<std::tuple<int, NodeId, NodeId>> edges_covered;
-  MatchOptions mopt;
-  mopt.semantics = opt.semantics;
-  mopt.max_matches = opt.max_matches_per_graph;
-  for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    auto matches = FindMatches(pattern, *graphs[gi], mopt);
-    if (matches.empty()) continue;
-    ++out->support;
-    out->total_matches += static_cast<int>(matches.size());
-    for (const Match& m : matches) {
-      for (NodeId v : m) nodes_covered.insert({static_cast<int>(gi), v});
-      for (const Edge& pe : pattern.edges()) {
-        NodeId a = m[static_cast<size_t>(pe.u)];
-        NodeId b = m[static_cast<size_t>(pe.v)];
-        if (a > b) std::swap(a, b);
-        edges_covered.insert({static_cast<int>(gi), a, b});
-      }
-    }
-  }
-  out->covered_nodes = static_cast<int>(nodes_covered.size());
-  out->covered_edges = static_cast<int>(edges_covered.size());
 }
 
 // Edge vocabulary (from_type, to_type, edge_type) present in the data.
@@ -93,6 +60,7 @@ std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
   if (graphs.empty()) return results;
 
   const auto rules = CollectRules(graphs);
+  const std::vector<PreparedGraph> prepared = PrepareGraphs(graphs);
   std::unordered_set<std::string> seen_codes;
 
   // Seeds: single-node patterns per type.
@@ -105,7 +73,7 @@ std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
     std::string code = CanonicalCode(candidate);
     if (seen_codes.count(code)) return false;
     // Anti-monotone support pruning under non-induced semantics.
-    const int support = CountSupport(candidate, graphs,
+    const int support = CountSupport(candidate, prepared,
                                      MatchSemantics::kNonInduced,
                                      options.min_support);
     if (support < options.min_support) return false;
@@ -113,7 +81,8 @@ std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
     auto pattern = Pattern::Create(std::move(candidate));
     if (!pattern.ok()) return false;
     MinedPattern mp;
-    FillStats(pattern.value().graph(), graphs, options, &mp);
+    ComputeMinedStats(pattern.value().graph(), prepared, options.semantics,
+                      &mp);
     if (mp.support < options.min_support) {
       // Frequent non-induced but infrequent induced: still extend (children
       // may be induced-frequent), just do not report it.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "util/bitops.h"
 
@@ -9,69 +10,20 @@ namespace gvex {
 
 namespace {
 
-// (neighbor node type, edge type) -> count. Small graphs, few distinct
-// keys: an ordered map keeps the comparison loop trivial.
-using Signature = std::map<std::pair<int, int>, int>;
-
-// Distinct incident neighbors per node — BOTH orientations for directed
-// graphs. The blind matcher (the semantics we must reproduce exactly)
-// accepts a target edge of either orientation for a directed pattern edge,
-// so every structural filter here must look at the symmetric closure or it
-// over-prunes candidates the blind matcher accepts.
-std::vector<std::vector<NodeId>> IncidentNeighbors(const Graph& g) {
-  std::vector<std::vector<NodeId>> nbrs(
-      static_cast<size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const Neighbor& nb : g.neighbors(v)) {
-      nbrs[static_cast<size_t>(v)].push_back(nb.node);
-      if (g.directed()) nbrs[static_cast<size_t>(nb.node)].push_back(v);
-    }
-  }
-  if (g.directed()) {
-    // Dedupe pairs connected in both orientations.
-    for (auto& list : nbrs) {
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-    }
-  }
-  return nbrs;
+// One neighbor-signature key: (neighbor node type, edge type), packed so
+// signatures sort and compare as plain integers.
+uint64_t SignatureKey(int node_type, int edge_type) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(node_type)) << 32) |
+         static_cast<uint32_t>(edge_type);
 }
 
-// Undirected graphs key on (neighbor type, edge type). Directed graphs key
-// on neighbor type only: the blind matcher resolves a directed pair's
-// effective edge type orientation- (and placement-order-) dependently, so
-// edge type cannot soundly constrain a directed signature.
-Signature NeighborSignature(const Graph& g, NodeId v,
-                            const std::vector<std::vector<NodeId>>& nbrs) {
-  Signature sig;
-  if (g.directed()) {
-    for (NodeId u : nbrs[static_cast<size_t>(v)]) {
-      ++sig[{g.node_type(u), 0}];
-    }
-  } else {
-    for (const Neighbor& nb : g.neighbors(v)) {
-      ++sig[{g.node_type(nb.node), nb.edge_type}];
-    }
-  }
-  return sig;
-}
-
-// Every key of `need` present in `have` with at least the needed count.
-bool SignatureCovers(const Signature& have, const Signature& need) {
-  for (const auto& [key, count] : need) {
-    auto it = have.find(key);
-    if (it == have.end() || it->second < count) return false;
-  }
-  return true;
-}
-
-// Placement ranks of the blind matcher (isomorphism.cpp BuildOrder:
-// highest-degree start, then most placed out-neighbors, degree tie-break).
-// The blind accept predicate resolves a pair's effective edge type from the
-// EARLIER-placed node's perspective, which matters when a pair is connected
-// in both orientations with different types — so to reproduce its match set
-// exactly while searching in a different order, Feasible below assigns pair
-// roles by these ranks, not by our own placement order.
+// Placement ranks of the blind VF2 backtracker the match set is pinned to
+// (highest-degree start, then most placed out-neighbors, degree
+// tie-break). Its accept predicate resolves a pair's effective edge type
+// from the EARLIER-placed node's perspective, which matters when a pair is
+// connected in both orientations with different types — so to reproduce
+// its match set exactly while searching in a different order, Feasible
+// below assigns pair roles by these ranks, not by our own placement order.
 std::vector<int> BlindRank(const Graph& p) {
   const int np = p.num_nodes();
   std::vector<int> rank(static_cast<size_t>(np), 0);
@@ -106,68 +58,195 @@ std::vector<int> BlindRank(const Graph& p) {
   return rank;
 }
 
-// Shared state for one filtered run: candidate bitsets over target nodes,
-// target adjacency bitsets, and the backtracking machinery.
+}  // namespace
+
+PreparedGraph::PreparedGraph(const Graph& graph) : graph_(&graph) {
+  const Graph& g = graph;
+  const size_t n = static_cast<size_t>(g.num_nodes());
+  const std::vector<Edge>& edges = g.edges();
+  words_ = bitops::WordsForBits(n);
+
+  // Incident entries straight from the edge list, so each knows its edge
+  // index; per node, sort by neighbor and fold a pair joined in both
+  // orientations into one entry carrying its first edge.
+  struct Entry {
+    NodeId nb;
+    int edge;
+    uint8_t dir;
+    int type;
+  };
+  std::vector<int> raw_off(n + 1, 0);
+  for (const Edge& e : edges) {
+    ++raw_off[static_cast<size_t>(e.u) + 1];
+    ++raw_off[static_cast<size_t>(e.v) + 1];
+  }
+  for (size_t v = 0; v < n; ++v) raw_off[v + 1] += raw_off[v];
+  std::vector<Entry> raw(static_cast<size_t>(raw_off[n]));
+  std::vector<int> fill(raw_off.begin(), raw_off.end() - 1);
+  const uint8_t fwd = g.directed() ? 1 : 3;
+  const uint8_t bwd = g.directed() ? 2 : 3;
+  for (size_t ei = 0; ei < edges.size(); ++ei) {
+    const Edge& e = edges[ei];
+    raw[static_cast<size_t>(fill[static_cast<size_t>(e.u)]++)] = {
+        e.v, static_cast<int>(ei), fwd, e.edge_type};
+    raw[static_cast<size_t>(fill[static_cast<size_t>(e.v)]++)] = {
+        e.u, static_cast<int>(ei), bwd, e.edge_type};
+  }
+  inc_off_.assign(n + 1, 0);
+  inc_.reserve(raw.size());
+  inc_edge_.reserve(raw.size());
+  inc_dir_.reserve(raw.size());
+  inc_type_.reserve(raw.size());
+  std::vector<int> in_type;  // per entry, the type of nb->v (-1 = none)
+  in_type.reserve(raw.size());
+  for (size_t v = 0; v < n; ++v) {
+    auto begin = raw.begin() + raw_off[v];
+    auto end = raw.begin() + raw_off[v + 1];
+    std::sort(begin, end, [](const Entry& a, const Entry& b) {
+      return a.nb != b.nb ? a.nb < b.nb : a.edge < b.edge;
+    });
+    for (auto it = begin; it != end; ++it) {
+      if (static_cast<int>(inc_.size()) == inc_off_[v] ||
+          inc_.back() != it->nb) {
+        inc_.push_back(it->nb);
+        inc_edge_.push_back(it->edge);
+        inc_dir_.push_back(0);
+        inc_type_.push_back(-1);
+        in_type.push_back(-1);
+      }
+      inc_dir_.back() = static_cast<uint8_t>(inc_dir_.back() | it->dir);
+      if ((it->dir & 1) != 0) inc_type_.back() = it->type;
+      if ((it->dir & 2) != 0) in_type.back() = it->type;
+    }
+    inc_off_[v + 1] = static_cast<int>(inc_.size());
+  }
+  // PairType(v, nb): the type of v->nb when that is >= 0, else of nb->v.
+  for (size_t k = 0; k < inc_type_.size(); ++k) {
+    if (inc_type_[k] < 0) inc_type_[k] = in_type[k];
+  }
+
+  // Neighbor signatures. Undirected graphs key on (neighbor type, edge
+  // type). Directed graphs key on neighbor type only, over the symmetric
+  // closure: the pinned matcher resolves a directed pair's effective edge
+  // type orientation- (and placement-order-) dependently, so edge type
+  // cannot soundly constrain a directed signature.
+  sig_off_.assign(n + 1, 0);
+  std::vector<uint64_t> keys;
+  for (size_t v = 0; v < n; ++v) {
+    keys.clear();
+    for (int k = inc_off_[v]; k < inc_off_[v + 1]; ++k) {
+      const size_t uk = static_cast<size_t>(k);
+      keys.push_back(SignatureKey(
+          g.node_type(inc_[uk]),
+          g.directed()
+              ? 0
+              : edges[static_cast<size_t>(inc_edge_[uk])].edge_type));
+    }
+    std::sort(keys.begin(), keys.end());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (i > 0 && keys[i] == keys[i - 1]) {
+        ++sig_count_.back();
+      } else {
+        sig_key_.push_back(keys[i]);
+        sig_count_.push_back(1);
+      }
+    }
+    sig_off_[v + 1] = static_cast<int>(sig_key_.size());
+  }
+
+  // Adjacency bitsets over the symmetric closure: a directed pattern edge
+  // may map onto a target edge of either orientation.
+  adj_.assign(n * words_, 0);
+  for (size_t v = 0; v < n; ++v) {
+    for (int k = inc_off_[v]; k < inc_off_[v + 1]; ++k) {
+      bitops::SetBit(adj_.data() + v * words_,
+                     static_cast<size_t>(inc_[static_cast<size_t>(k)]));
+    }
+  }
+
+  by_type_.resize(n);
+  std::iota(by_type_.begin(), by_type_.end(), 0);
+  std::stable_sort(by_type_.begin(), by_type_.end(),
+                   [&g](NodeId a, NodeId b) {
+                     return g.node_type(a) < g.node_type(b);
+                   });
+}
+
+bool PreparedGraph::Adjacent(NodeId u, NodeId v) const {
+  return bitops::TestBit(AdjRow(u), static_cast<size_t>(v));
+}
+
+int PreparedGraph::FindIncident(NodeId u, NodeId v) const {
+  const auto begin = inc_.begin() + inc_off_[static_cast<size_t>(u)];
+  const auto end = inc_.begin() + inc_off_[static_cast<size_t>(u) + 1];
+  const auto it = std::lower_bound(begin, end, v);
+  return it == end || *it != v ? -1 : static_cast<int>(it - inc_.begin());
+}
+
+int PreparedGraph::PairType(NodeId u, NodeId v) const {
+  const int k = FindIncident(u, v);
+  return k < 0 ? -1 : inc_type_[static_cast<size_t>(k)];
+}
+
+int PreparedGraph::PairEdge(NodeId u, NodeId v) const {
+  const int k = FindIncident(u, v);
+  return k < 0 ? -1 : inc_edge_[static_cast<size_t>(k)];
+}
+
+std::vector<PreparedGraph> PrepareGraphs(
+    const std::vector<const Graph*>& graphs) {
+  std::vector<PreparedGraph> out;
+  out.reserve(graphs.size());
+  for (const Graph* g : graphs) out.emplace_back(*g);
+  return out;
+}
+
+namespace matcher_internal {
+
+// One (pattern, target) run: candidate bitsets over target nodes, then
+// backtracking over them. Pattern nodes can be pinned to one target node,
+// which is how MarkUnion asks "is there an embedding through this node /
+// edge?".
 class FilteredMatcher {
  public:
-  FilteredMatcher(const Graph& pattern, const Graph& target,
+  FilteredMatcher(const PreparedGraph& pattern, const PreparedGraph& target,
                   const MatchOptions& options, MatcherStats* stats)
-      : p_(pattern), g_(target), opt_(options), stats_(stats) {}
+      : pat_(pattern),
+        tgt_(target),
+        p_(pattern.graph()),
+        g_(target.graph()),
+        opt_(options),
+        stats_(stats) {}
 
   // Phase 1: label + degree + signature filter, then Ullmann refinement.
   // Returns false when some pattern node has no surviving candidate.
   bool Filter() {
     const int np = p_.num_nodes();
     const int nt = g_.num_nodes();
-    words_ = bitops::WordsForBits(static_cast<size_t>(nt));
-    cand_.assign(static_cast<size_t>(np),
-                 std::vector<uint64_t>(words_, 0));
+    words_ = tgt_.words_;
+    cand_.assign(static_cast<size_t>(np) * words_, 0);
     if (np > nt) return false;
 
-    p_nbrs_ = IncidentNeighbors(p_);
-    const std::vector<std::vector<NodeId>> g_nbrs = IncidentNeighbors(g_);
-    std::vector<Signature> target_sig;
-    target_sig.reserve(static_cast<size_t>(nt));
-    for (NodeId v = 0; v < nt; ++v) {
-      target_sig.push_back(NeighborSignature(g_, v, g_nbrs));
-    }
-    bool any_empty = false;
+    const std::vector<NodeId>& by_type = tgt_.by_type_;
     for (int pv = 0; pv < np; ++pv) {
-      const Signature psig = NeighborSignature(p_, pv, p_nbrs_);
+      const int type = p_.node_type(pv);
+      auto lo = std::lower_bound(
+          by_type.begin(), by_type.end(), type,
+          [this](NodeId v, int t) { return g_.node_type(v) < t; });
       bool empty = true;
-      for (NodeId gv = 0; gv < nt; ++gv) {
-        if (p_.node_type(pv) != g_.node_type(gv)) continue;
-        // The blind matcher enforces out-degree(pv) <= out-degree(gv) at
-        // every placement; reproduce it so no extra matches appear.
+      for (auto it = lo; it != by_type.end() && g_.node_type(*it) == type;
+           ++it) {
+        const NodeId gv = *it;
+        // Every placement requires out-degree(pv) <= out-degree(gv), as
+        // the pinned blind matcher does; distinct pattern neighbors also
+        // map injectively to distinct target neighbors.
         if (p_.degree(pv) > g_.degree(gv)) continue;
-        // Distinct pattern neighbors also map injectively to distinct
-        // target neighbors (incident count — both orientations, see
-        // IncidentNeighbors).
-        if (p_nbrs_[static_cast<size_t>(pv)].size() >
-            g_nbrs[static_cast<size_t>(gv)].size()) {
-          continue;
-        }
-        if (!SignatureCovers(target_sig[static_cast<size_t>(gv)], psig)) {
-          continue;
-        }
-        bitops::SetBit(cand_[static_cast<size_t>(pv)].data(),
-                       static_cast<size_t>(gv));
+        if (pat_.IncidentCount(pv) > tgt_.IncidentCount(gv)) continue;
+        if (!SignatureCovers(gv, pv)) continue;
+        bitops::SetBit(MutableCandRow(pv), static_cast<size_t>(gv));
         empty = false;
       }
-      any_empty = any_empty || empty;
-    }
-    if (any_empty) return false;
-
-    // Target adjacency as bitsets — symmetric closure, since a directed
-    // pattern edge may map onto a target edge of either orientation.
-    adj_.assign(static_cast<size_t>(nt), std::vector<uint64_t>(words_, 0));
-    for (NodeId v = 0; v < nt; ++v) {
-      for (const Neighbor& nb : g_.neighbors(v)) {
-        bitops::SetBit(adj_[static_cast<size_t>(v)].data(),
-                       static_cast<size_t>(nb.node));
-        bitops::SetBit(adj_[static_cast<size_t>(nb.node)].data(),
-                       static_cast<size_t>(v));
-      }
+      if (empty) return false;
     }
 
     // Ullmann refinement to a fixpoint: gv stays a candidate for pv only
@@ -178,26 +257,24 @@ class FilteredMatcher {
     while (changed) {
       changed = false;
       for (int pv = 0; pv < np; ++pv) {
-        std::vector<uint64_t>& cands = cand_[static_cast<size_t>(pv)];
+        uint64_t* cands = MutableCandRow(pv);
         bool empty = true;
         for (size_t wi = 0; wi < words_; ++wi) {
           uint64_t w = cands[wi];
           while (w != 0) {
             const size_t gv =
-                (wi << 6) +
-                static_cast<size_t>(__builtin_ctzll(w));
+                (wi << 6) + static_cast<size_t>(__builtin_ctzll(w));
             w &= w - 1;
-            bool ok = true;
-            for (NodeId pu : p_nbrs_[static_cast<size_t>(pv)]) {
-              if (!bitops::Intersects(cand_[static_cast<size_t>(pu)],
-                                      adj_[gv])) {
-                ok = false;
+            for (int k = pat_.inc_off_[static_cast<size_t>(pv)];
+                 k < pat_.inc_off_[static_cast<size_t>(pv) + 1]; ++k) {
+              const NodeId pu = pat_.inc_[static_cast<size_t>(k)];
+              if (!bitops::Intersects(CandRow(pu),
+                                      tgt_.AdjRow(static_cast<NodeId>(gv)),
+                                      words_)) {
+                cands[wi] &= ~(uint64_t{1} << (gv & 63));
+                changed = true;
                 break;
               }
-            }
-            if (!ok) {
-              cands[wi] &= ~(uint64_t{1} << (gv & 63));
-              changed = true;
             }
           }
           if (cands[wi] != 0) empty = false;
@@ -206,93 +283,142 @@ class FilteredMatcher {
       }
     }
 
-    if (stats_ != nullptr) {
-      for (const auto& bits : cand_) {
-        stats_->candidates += bitops::Popcount(bits);
+    cand_count_.resize(static_cast<size_t>(np));
+    for (int pv = 0; pv < np; ++pv) {
+      cand_count_[static_cast<size_t>(pv)] =
+          bitops::Popcount(CandRow(pv), words_);
+      if (stats_ != nullptr) {
+        stats_->candidates += cand_count_[static_cast<size_t>(pv)];
       }
     }
     return true;
   }
 
-  // Phase 2: backtracking over the surviving candidates,
-  // most-constrained-first. Returns the verdict; matches land in results().
+  // Phase 2: backtracking over the surviving candidates (and pins),
+  // most-constrained-first. Each call has its own max_steps budget.
+  // Returns the verdict; matches land in results().
   MatchVerdict Search(bool stop_at_first) {
+    if (mapping_.empty()) {
+      blind_rank_ = BlindRank(p_);
+      mapping_.assign(static_cast<size_t>(p_.num_nodes()), -1);
+      pin_.assign(static_cast<size_t>(p_.num_nodes()), -1);
+      used_.assign(static_cast<size_t>(g_.num_nodes()), 0);
+    }
     stop_at_first_ = stop_at_first;
+    results_.clear();
+    steps_ = 0;
     BuildOrder();
-    blind_rank_ = BlindRank(p_);
-    // Graph::HasEdge/EdgeType scan an adjacency list per call, and the
-    // backtracking inner loop issues several per placed pair. Replace them
-    // with dense O(1) row-major tables (exact mirrors of the adjacency
-    // lists) while the quadratic footprint stays small.
-    if (p_.num_nodes() <= kDenseLookupMaxNodes) {
-      BuildEdgeTables(p_, &p_has_, &p_et_);
-    }
-    if (g_.num_nodes() <= kDenseLookupMaxNodes) {
-      BuildEdgeTables(g_, &g_has_, &g_et_);
-    }
-    mapping_.assign(static_cast<size_t>(p_.num_nodes()), -1);
-    used_.assign(static_cast<size_t>(g_.num_nodes()), false);
     const bool completed = Backtrack(0);
-    if (stats_ != nullptr) stats_->steps = steps_;
+    if (stats_ != nullptr) stats_->steps += static_cast<uint64_t>(steps_);
     if (!results_.empty()) return MatchVerdict::kMatch;
     // An aborted search that found nothing proves nothing — unless the
     // abort reason was "enough matches", impossible with zero results.
     return completed ? MatchVerdict::kNoMatch : MatchVerdict::kUnknown;
   }
 
-  std::vector<Match> TakeResults() { return std::move(results_); }
-  bool budget_exhausted() const { return budget_exhausted_; }
-  const std::vector<std::vector<uint64_t>>& candidate_bits() const {
-    return cand_;
-  }
-
- private:
-  // Past this many nodes the n*n tables stop being worth their footprint;
-  // the helpers below fall back to the (identical) adjacency-list scans.
-  static constexpr int kDenseLookupMaxNodes = 512;
-
-  static void BuildEdgeTables(const Graph& g, std::vector<uint8_t>* has,
-                              std::vector<int32_t>* et) {
-    const size_t n = static_cast<size_t>(g.num_nodes());
-    has->assign(n * n, 0);
-    et->assign(n * n, -1);
-    for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
-      for (const Neighbor& nb : g.neighbors(u)) {
-        (*has)[static_cast<size_t>(u) * n + static_cast<size_t>(nb.node)] =
-            1;
-        (*et)[static_cast<size_t>(u) * n + static_cast<size_t>(nb.node)] =
-            nb.edge_type;
+  // Exact union of all embeddings (see MarkEmbeddingUnion). Requires a
+  // successful Filter().
+  void MarkUnion(std::vector<bool>* nodes, std::vector<bool>* edges) {
+    if (Search(/*stop_at_first=*/true) != MatchVerdict::kMatch) return;
+    for (int k = 0; k < p_.num_nodes(); ++k) {
+      for (int i = pat_.inc_off_[static_cast<size_t>(k)];
+           i < pat_.inc_off_[static_cast<size_t>(k) + 1]; ++i) {
+        const NodeId pw = pat_.inc_[static_cast<size_t>(i)];
+        if (pw > k) pattern_pairs_.emplace_back(k, pw);
+      }
+    }
+    Mark(nodes, edges);
+    // Nodes: a still-uncovered target node is covered iff an embedding
+    // maps some pattern node onto it.
+    for (NodeId gv = 0; gv < g_.num_nodes(); ++gv) {
+      if ((*nodes)[static_cast<size_t>(gv)]) continue;
+      for (int pv = 0; pv < p_.num_nodes(); ++pv) {
+        if (IsCandidate(pv, gv) && FindPinned(pv, gv, -1, -1)) {
+          Mark(nodes, edges);
+          break;
+        }
+      }
+    }
+    // Edges: each target pair once, as its first edge. Only a pair whose
+    // endpoints are both covered can be, by an embedding mapping some
+    // pattern pair onto it in one of two ways.
+    for (NodeId a = 0; a < g_.num_nodes(); ++a) {
+      if (!(*nodes)[static_cast<size_t>(a)]) continue;
+      for (int k = tgt_.inc_off_[static_cast<size_t>(a)];
+           k < tgt_.inc_off_[static_cast<size_t>(a) + 1]; ++k) {
+        const NodeId b = tgt_.inc_[static_cast<size_t>(k)];
+        const size_t e = static_cast<size_t>(tgt_.inc_edge_[static_cast<size_t>(k)]);
+        if (b < a || (*edges)[e] || !(*nodes)[static_cast<size_t>(b)]) {
+          continue;
+        }
+        for (const auto& [pu, pw] : pattern_pairs_) {
+          if ((IsCandidate(pu, a) && IsCandidate(pw, b) &&
+               FindPinned(pu, a, pw, b)) ||
+              (IsCandidate(pu, b) && IsCandidate(pw, a) &&
+               FindPinned(pu, b, pw, a))) {
+            Mark(nodes, edges);
+            break;
+          }
+        }
       }
     }
   }
 
-  bool PHas(int u, int v) const {
-    if (p_has_.empty()) return p_.HasEdge(u, v);
-    return p_has_[static_cast<size_t>(u) *
-                      static_cast<size_t>(p_.num_nodes()) +
-                  static_cast<size_t>(v)] != 0;
+  std::vector<Match> TakeResults() { return std::move(results_); }
+  const uint64_t* CandRow(int pv) const {
+    return cand_.data() + static_cast<size_t>(pv) * words_;
   }
-  int PEt(int u, int v) const {
-    if (p_et_.empty()) return p_.EdgeType(u, v);
-    return p_et_[static_cast<size_t>(u) *
-                     static_cast<size_t>(p_.num_nodes()) +
-                 static_cast<size_t>(v)];
+
+ private:
+  uint64_t* MutableCandRow(int pv) {
+    return cand_.data() + static_cast<size_t>(pv) * words_;
   }
-  bool GHas(NodeId u, NodeId v) const {
-    if (g_has_.empty()) return g_.HasEdge(u, v);
-    return g_has_[static_cast<size_t>(u) *
-                      static_cast<size_t>(g_.num_nodes()) +
-                  static_cast<size_t>(v)] != 0;
+  bool IsCandidate(int pv, NodeId gv) const {
+    return bitops::TestBit(CandRow(pv), static_cast<size_t>(gv));
   }
-  int GEt(NodeId u, NodeId v) const {
-    if (g_et_.empty()) return g_.EdgeType(u, v);
-    return g_et_[static_cast<size_t>(u) *
-                     static_cast<size_t>(g_.num_nodes()) +
-                 static_cast<size_t>(v)];
+
+  // Every key of pv's signature present at gv with at least its count.
+  bool SignatureCovers(NodeId gv, int pv) const {
+    int i = tgt_.sig_off_[static_cast<size_t>(gv)];
+    const int iend = tgt_.sig_off_[static_cast<size_t>(gv) + 1];
+    for (int k = pat_.sig_off_[static_cast<size_t>(pv)];
+         k < pat_.sig_off_[static_cast<size_t>(pv) + 1]; ++k) {
+      const uint64_t key = pat_.sig_key_[static_cast<size_t>(k)];
+      while (i < iend && tgt_.sig_key_[static_cast<size_t>(i)] < key) ++i;
+      if (i == iend || tgt_.sig_key_[static_cast<size_t>(i)] != key ||
+          tgt_.sig_count_[static_cast<size_t>(i)] <
+              pat_.sig_count_[static_cast<size_t>(k)]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Early-exit search with pa -> ga (and pb -> gb when pb >= 0) fixed.
+  bool FindPinned(int pa, NodeId ga, int pb, NodeId gb) {
+    pin_[static_cast<size_t>(pa)] = ga;
+    if (pb >= 0) pin_[static_cast<size_t>(pb)] = gb;
+    const bool found = Search(/*stop_at_first=*/true) == MatchVerdict::kMatch;
+    pin_[static_cast<size_t>(pa)] = -1;
+    if (pb >= 0) pin_[static_cast<size_t>(pb)] = -1;
+    return found;
+  }
+
+  // Marks the nodes and pair edges of the match just found.
+  void Mark(std::vector<bool>* nodes, std::vector<bool>* edges) const {
+    const Match& m = results_.back();
+    for (NodeId v : m) (*nodes)[static_cast<size_t>(v)] = true;
+    for (const auto& [pu, pw] : pattern_pairs_) {
+      const int e = tgt_.PairEdge(m[static_cast<size_t>(pu)],
+                                m[static_cast<size_t>(pw)]);
+      if (e >= 0) (*edges)[static_cast<size_t>(e)] = true;
+    }
   }
 
   size_t CandCount(int pv) const {
-    return bitops::Popcount(cand_[static_cast<size_t>(pv)]);
+    return pin_[static_cast<size_t>(pv)] >= 0
+               ? 1
+               : cand_count_[static_cast<size_t>(pv)];
   }
 
   // Static order: start at the node with the fewest candidates; extend
@@ -338,10 +464,10 @@ class FilteredMatcher {
     }
   }
 
-  bool Feasible(int pv, NodeId gv, int depth) {
+  bool Feasible(int pv, NodeId gv, int depth) const {
     // Type/degree/signature already vetted by the candidate set; only the
     // consistency against mapped neighbors remains. Pair roles follow the
-    // BLIND matcher's placement ranks (see BlindRank) so the effective
+    // blind matcher's placement ranks (see BlindRank) so the effective
     // edge type of a both-orientation pair resolves identically.
     for (int i = 0; i < depth; ++i) {
       int pa = order_[static_cast<size_t>(i)];
@@ -353,18 +479,11 @@ class FilteredMatcher {
         std::swap(pa, pb);
         std::swap(ga, gb);
       }
-      const bool p_edge = PHas(pa, pb) || PHas(pb, pa);
-      // adj_ is the symmetric closure of target edge existence, so one bit
-      // test replaces HasEdge(ga, gb) || HasEdge(gb, ga).
-      const bool g_edge = bitops::TestBit(adj_[static_cast<size_t>(ga)].data(),
-                                          static_cast<size_t>(gb));
-      if (p_edge) {
-        if (!g_edge) return false;
-        int pt = PEt(pa, pb);
-        if (pt < 0) pt = PEt(pb, pa);
-        int gt = GEt(ga, gb);
-        if (gt < 0) gt = GEt(gb, ga);
-        if (pt != gt) return false;
+      const bool g_edge = tgt_.Adjacent(ga, gb);
+      if (pat_.Adjacent(pa, pb)) {
+        if (!g_edge || pat_.PairType(pa, pb) != tgt_.PairType(ga, gb)) {
+          return false;
+        }
       } else if (opt_.semantics == MatchSemantics::kInduced && g_edge) {
         return false;
       }
@@ -373,26 +492,21 @@ class FilteredMatcher {
   }
 
   bool TryCandidate(int pv, NodeId gv, int depth) {
-    if (used_[static_cast<size_t>(gv)]) return true;
-    if (!bitops::TestBit(cand_[static_cast<size_t>(pv)].data(),
-                         static_cast<size_t>(gv))) {
-      return true;
-    }
+    if (used_[static_cast<size_t>(gv)] != 0) return true;
+    const NodeId pin = pin_[static_cast<size_t>(pv)];
+    if (pin >= 0 ? pin != gv : !IsCandidate(pv, gv)) return true;
     if (!Feasible(pv, gv, depth)) return true;
     mapping_[static_cast<size_t>(pv)] = gv;
-    used_[static_cast<size_t>(gv)] = true;
+    used_[static_cast<size_t>(gv)] = 1;
     const bool keep = Backtrack(depth + 1);
-    used_[static_cast<size_t>(gv)] = false;
+    used_[static_cast<size_t>(gv)] = 0;
     mapping_[static_cast<size_t>(pv)] = -1;
     return keep;
   }
 
   // Returns false when the search should stop (budget or enough matches).
   bool Backtrack(int depth) {
-    if (opt_.max_steps > 0 && ++steps_ > opt_.max_steps) {
-      budget_exhausted_ = true;
-      return false;
-    }
+    if (opt_.max_steps > 0 && ++steps_ > opt_.max_steps) return false;
     if (depth == p_.num_nodes()) {
       results_.push_back(mapping_);
       if (stop_at_first_) return false;
@@ -406,7 +520,7 @@ class FilteredMatcher {
     int anchor = -1;
     for (int i = 0; i < depth; ++i) {
       const int pu = order_[static_cast<size_t>(i)];
-      if (PHas(pu, pv) || PHas(pv, pu)) {
+      if (pat_.Adjacent(pu, pv)) {
         anchor = pu;
         break;
       }
@@ -420,19 +534,21 @@ class FilteredMatcher {
       }
       if (g_.directed()) {
         // Pure in-neighbors only: a both-orientation neighbor was already
-        // tried above, and trying it again would emit duplicate matches
-        // (the blind matcher does — we do not).
-        for (NodeId gv = 0; gv < g_.num_nodes(); ++gv) {
-          if (GHas(gv, ga) && !GHas(ga, gv) &&
-              !TryCandidate(pv, gv, depth)) {
+        // tried above, and trying it again would emit a duplicate match.
+        for (int k = tgt_.inc_off_[static_cast<size_t>(ga)];
+             k < tgt_.inc_off_[static_cast<size_t>(ga) + 1]; ++k) {
+          if (tgt_.inc_dir_[static_cast<size_t>(k)] == 2 &&
+              !TryCandidate(pv, tgt_.inc_[static_cast<size_t>(k)], depth)) {
             return false;
           }
         }
       }
+    } else if (pin_[static_cast<size_t>(pv)] >= 0) {
+      return TryCandidate(pv, pin_[static_cast<size_t>(pv)], depth);
     } else {
       // Unanchored (first node, or a disconnected pattern component):
       // iterate the candidate set itself, one ctz per candidate.
-      const std::vector<uint64_t>& cands = cand_[static_cast<size_t>(pv)];
+      const uint64_t* cands = CandRow(pv);
       for (size_t wi = 0; wi < words_; ++wi) {
         uint64_t w = cands[wi];
         while (w != 0) {
@@ -446,32 +562,35 @@ class FilteredMatcher {
     return true;
   }
 
+  const PreparedGraph& pat_;
+  const PreparedGraph& tgt_;
   const Graph& p_;
   const Graph& g_;
   MatchOptions opt_;
   MatcherStats* stats_;
   size_t words_ = 0;
-  std::vector<std::vector<uint64_t>> cand_;  // per pattern node
-  std::vector<std::vector<uint64_t>> adj_;   // per target node
-  std::vector<std::vector<NodeId>> p_nbrs_;  // incident, both orientations
-  std::vector<uint8_t> p_has_;   // dense n*n edge existence (see PHas)
-  std::vector<int32_t> p_et_;    // dense n*n edge types, -1 = none
-  std::vector<uint8_t> g_has_;
-  std::vector<int32_t> g_et_;
+  std::vector<uint64_t> cand_;      // np x words_ candidate bitsets
+  std::vector<size_t> cand_count_;  // popcount per pattern node
+  std::vector<NodeId> pin_;         // per pattern node; -1 = free
+  std::vector<std::pair<int, int>> pattern_pairs_;  // adjacent, first < second
   std::vector<int> order_;
   std::vector<int> blind_rank_;
   Match mapping_;
-  std::vector<bool> used_;
+  std::vector<uint8_t> used_;
   std::vector<Match> results_;
   int64_t steps_ = 0;
   bool stop_at_first_ = false;
-  bool budget_exhausted_ = false;
 };
 
-// Shared driver: filter, then search. `verdict_mode` controls whether an
-// exhausted budget reports kUnknown (true) or degrades to "no match"
-// (false, the ContainsPattern-compatible behavior).
-MatchVerdict RunFiltered(const Graph& pattern, const Graph& target,
+}  // namespace matcher_internal
+
+namespace {
+
+using matcher_internal::FilteredMatcher;
+
+// Shared driver: filter, then search.
+MatchVerdict RunFiltered(const PreparedGraph& pattern,
+                         const PreparedGraph& target,
                          const MatchOptions& options, bool stop_at_first,
                          MatcherStats* stats, std::vector<Match>* matches) {
   FilteredMatcher m(pattern, target, options, stats);
@@ -488,14 +607,19 @@ MatchVerdict RunFiltered(const Graph& pattern, const Graph& target,
 
 bool BuildCandidateSets(const Graph& pattern, const Graph& target,
                         std::vector<std::vector<NodeId>>* candidates) {
-  MatchOptions options;
-  FilteredMatcher m(pattern, target, options, nullptr);
+  const PreparedGraph p(pattern);
+  const PreparedGraph t(target);
+  FilteredMatcher m(p, t, MatchOptions{}, nullptr);
   const bool feasible = m.Filter();
+  const size_t words = bitops::WordsForBits(
+      static_cast<size_t>(target.num_nodes()));
   candidates->assign(static_cast<size_t>(pattern.num_nodes()), {});
-  for (size_t pv = 0; pv < m.candidate_bits().size(); ++pv) {
-    bitops::ForEachSetBit(m.candidate_bits()[pv], [&](size_t gv) {
-      (*candidates)[pv].push_back(static_cast<NodeId>(gv));
-    });
+  for (size_t pv = 0; pv < candidates->size(); ++pv) {
+    bitops::ForEachSetBit(m.CandRow(static_cast<int>(pv)), words,
+                          [&](size_t gv) {
+                            (*candidates)[pv].push_back(
+                                static_cast<NodeId>(gv));
+                          });
   }
   return feasible;
 }
@@ -506,8 +630,8 @@ std::vector<Match> FilteredFindMatches(const Graph& pattern,
                                        MatcherStats* stats) {
   if (pattern.num_nodes() == 0) return {};
   std::vector<Match> matches;
-  (void)RunFiltered(pattern, target, options, /*stop_at_first=*/false,
-                    stats, &matches);
+  (void)RunFiltered(PreparedGraph(pattern), PreparedGraph(target), options,
+                    /*stop_at_first=*/false, stats, &matches);
   return matches;
 }
 
@@ -515,8 +639,17 @@ bool FilteredContainsPattern(const Graph& target, const Graph& pattern,
                              const MatchOptions& options,
                              MatcherStats* stats) {
   if (pattern.num_nodes() == 0) return true;
-  return RunFiltered(pattern, target, options, /*stop_at_first=*/true,
-                     stats, nullptr) == MatchVerdict::kMatch;
+  return FilteredContainsPattern(PreparedGraph(target),
+                                 PreparedGraph(pattern), options, stats);
+}
+
+bool FilteredContainsPattern(const PreparedGraph& target,
+                             const PreparedGraph& pattern,
+                             const MatchOptions& options,
+                             MatcherStats* stats) {
+  if (pattern.graph().num_nodes() == 0) return true;
+  return RunFiltered(pattern, target, options, /*stop_at_first=*/true, stats,
+                     nullptr) == MatchVerdict::kMatch;
 }
 
 MatchVerdict FilteredContainsPatternBudgeted(const Graph& target,
@@ -524,8 +657,21 @@ MatchVerdict FilteredContainsPatternBudgeted(const Graph& target,
                                              const MatchOptions& options,
                                              MatcherStats* stats) {
   if (pattern.num_nodes() == 0) return MatchVerdict::kMatch;
-  return RunFiltered(pattern, target, options, /*stop_at_first=*/true,
-                     stats, nullptr);
+  return RunFiltered(PreparedGraph(pattern), PreparedGraph(target), options,
+                     /*stop_at_first=*/true, stats, nullptr);
+}
+
+void MarkEmbeddingUnion(const PreparedGraph& pattern,
+                        const PreparedGraph& target,
+                        const MatchOptions& options, std::vector<bool>* nodes,
+                        std::vector<bool>* edges, MatcherStats* stats) {
+  if (pattern.graph().num_nodes() == 0) return;
+  FilteredMatcher m(pattern, target, options, stats);
+  if (!m.Filter()) {
+    if (stats != nullptr) stats->filtered_out = true;
+    return;
+  }
+  m.MarkUnion(nodes, edges);
 }
 
 // --- McSplit-style maximum common subgraph ------------------------------

@@ -1,60 +1,36 @@
 #include "pattern/miner.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <unordered_set>
 
 #include "pattern/canonical.h"
+#include "pattern/coverage.h"
 #include "pattern/gspan.h"
 
 namespace gvex {
 
-namespace {
-
-// Key for a data edge within graph gi.
-struct EdgeKey {
-  int graph;
-  NodeId u;
-  NodeId v;
-  bool operator<(const EdgeKey& o) const {
-    if (graph != o.graph) return graph < o.graph;
-    if (u != o.u) return u < o.u;
-    return v < o.v;
-  }
-};
-
-// Computes support + coverage of a candidate pattern over all graphs.
-void CountSupport(const Graph& pattern,
-                  const std::vector<const Graph*>& graphs,
-                  const MinerOptions& opt, MinedPattern* out) {
+void ComputeMinedStats(const Graph& pattern,
+                       const std::vector<PreparedGraph>& graphs,
+                       MatchSemantics semantics, MinedPattern* out) {
   out->support = 0;
-  out->total_matches = 0;
-  std::set<std::pair<int, NodeId>> nodes_covered;
-  std::set<EdgeKey> edges_covered;
+  out->covered_nodes = 0;
+  out->covered_edges = 0;
   MatchOptions mopt;
-  mopt.semantics = opt.semantics;
-  mopt.max_matches = opt.max_matches_per_graph;
-  for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    const Graph& g = *graphs[gi];
-    auto matches = FindMatches(pattern, g, mopt);
-    if (matches.empty()) continue;
+  mopt.semantics = semantics;
+  const PreparedGraph prepared(pattern);
+  for (const PreparedGraph& g : graphs) {
+    const CoverageMask mask = ComputeCoverage(prepared, g, mopt);
+    const int nodes = mask.CountNodes();
+    if (nodes == 0) continue;
     ++out->support;
-    out->total_matches += static_cast<int>(matches.size());
-    for (const Match& m : matches) {
-      for (NodeId v : m) nodes_covered.insert({static_cast<int>(gi), v});
-      for (const Edge& pe : pattern.edges()) {
-        NodeId a = m[static_cast<size_t>(pe.u)];
-        NodeId b = m[static_cast<size_t>(pe.v)];
-        if (a > b) std::swap(a, b);
-        edges_covered.insert({static_cast<int>(gi), a, b});
-      }
-    }
+    out->covered_nodes += nodes;
+    out->covered_edges += mask.CountEdges();
   }
-  out->covered_nodes = static_cast<int>(nodes_covered.size());
-  out->covered_edges = static_cast<int>(edges_covered.size());
 }
+
+namespace {
 
 // Generates extensions of `base` by one node, guided by edges that actually
 // occur in the data graphs (type-pair vocabulary).
@@ -88,6 +64,7 @@ std::vector<MinedPattern> MinePatterns(const std::vector<const Graph*>& graphs,
   }
   std::vector<MinedPattern> results;
   if (graphs.empty()) return results;
+  const std::vector<PreparedGraph> prepared = PrepareGraphs(graphs);
 
   // Level 1: single-node patterns for every node type in the data.
   std::set<int> types;
@@ -99,7 +76,7 @@ std::vector<MinedPattern> MinePatterns(const std::vector<const Graph*>& graphs,
   for (int t : types) {
     Pattern p = Pattern::SingleNode(t);
     MinedPattern mp;
-    CountSupport(p.graph(), graphs, options, &mp);
+    ComputeMinedStats(p.graph(), prepared, options.semantics, &mp);
     if (mp.support < options.min_support) continue;
     mp.pattern = p;
     seen_codes.insert(p.canonical_code());
@@ -126,7 +103,7 @@ std::vector<MinedPattern> MinePatterns(const std::vector<const Graph*>& graphs,
           if (seen_codes.count(p.canonical_code())) continue;
           seen_codes.insert(p.canonical_code());
           MinedPattern mp;
-          CountSupport(p.graph(), graphs, options, &mp);
+          ComputeMinedStats(p.graph(), prepared, options.semantics, &mp);
           if (mp.support < options.min_support) continue;
           mp.pattern = p;
           results.push_back(mp);

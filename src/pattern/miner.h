@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "pattern/pattern.h"
 
 namespace gvex {
@@ -35,8 +35,6 @@ struct MinerOptions {
   int max_pattern_nodes = 5;
   /// Maximum number of candidates returned (best-first by coverage).
   int max_patterns = 64;
-  /// Cap on matches enumerated per (pattern, graph) during support counting.
-  int max_matches_per_graph = 256;
   MatchSemantics semantics = MatchSemantics::kInduced;
 };
 
@@ -44,10 +42,16 @@ struct MinerOptions {
 struct MinedPattern {
   Pattern pattern;
   int support = 0;          // number of input graphs containing it
-  int total_matches = 0;    // total embeddings found (capped)
   int covered_nodes = 0;    // distinct data nodes covered across all inputs
   int covered_edges = 0;    // distinct data edges covered across all inputs
 };
+
+/// Support and coverage of `pattern` over `graphs` under `semantics`: the
+/// statistics both miners report. Coverage is the exact union of all
+/// embeddings (pattern/coverage.h).
+void ComputeMinedStats(const Graph& pattern,
+                       const std::vector<PreparedGraph>& graphs,
+                       MatchSemantics semantics, MinedPattern* out);
 
 /// Mines frequent connected patterns from `graphs`. Deterministic order:
 /// descending covered_nodes, then fewer pattern nodes, then canonical code.

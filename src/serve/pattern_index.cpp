@@ -64,25 +64,42 @@ PatternIndex PatternIndex::Build(
   }
 
   // The expensive cross-product — one containment check per (code, subgraph)
-  // and, when database indexing is on, per (code, database graph) — sharded
-  // over the codes. Each shard writes only its own postings slots, so the
-  // result is identical for every worker count. The checks run through the
-  // candidate-filtered matcher: most (code, subgraph) pairs don't match and
-  // die at filtering without a backtracking step.
+  // and, when database indexing is on, per (code, database graph) — runs
+  // through the candidate-filtered matcher: most pairs don't match and die
+  // at filtering without a backtracking step. Codes and view subgraphs are
+  // prepared for the matcher once and shared, read-only, by every shard.
+  // The subgraph pass is sharded over codes, the database pass over graphs
+  // (each database graph is prepared by the shard that owns it and dropped
+  // after), and each shard writes only its own slots, so the result is
+  // identical for every worker count.
+  if (reps.empty()) return index;
+  std::vector<const Graph*> rep_graphs;
+  rep_graphs.reserve(reps.size());
+  for (const Pattern* p : reps) rep_graphs.push_back(&p->graph());
+  const std::vector<PreparedGraph> prepared_reps = PrepareGraphs(rep_graphs);
+  std::vector<std::vector<PreparedGraph>> prepared_subgraphs;
+  for (const auto& [label, view] : *index.views_) {
+    prepared_subgraphs.emplace_back();
+    prepared_subgraphs.back().reserve(view.subgraphs.size());
+    for (const ExplanationSubgraph& s : view.subgraphs) {
+      prepared_subgraphs.back().emplace_back(s.subgraph);
+    }
+  }
   const int num_codes = static_cast<int>(reps.size());
   const int threads = std::max(1, options.num_threads);
   ThreadPool::ParallelForShards(
       threads, threads * 4, num_codes, [&](const Shard& shard) {
         for (int c = shard.begin; c < shard.end; ++c) {
-          const Pattern& p = *reps[static_cast<size_t>(c)];
-          PatternPostings& post = postings[static_cast<size_t>(c)];
+          const PreparedGraph& p = prepared_reps[static_cast<size_t>(c)];
           CoverageBits coverage;
+          size_t view_index = 0;
           for (const auto& [label, view] : *index.views_) {
+            const std::vector<PreparedGraph>& subgraphs =
+                prepared_subgraphs[view_index++];
             std::vector<uint64_t> bits(
-                bitops::WordsForBits(view.subgraphs.size()), 0);
-            for (size_t i = 0; i < view.subgraphs.size(); ++i) {
-              if (FilteredContainsPattern(view.subgraphs[i].subgraph,
-                                          p.graph(), index.match_)) {
+                bitops::WordsForBits(subgraphs.size()), 0);
+            for (size_t i = 0; i < subgraphs.size(); ++i) {
+              if (FilteredContainsPattern(subgraphs[i], p, index.match_)) {
                 bitops::SetBit(bits.data(), i);
               }
             }
@@ -90,18 +107,32 @@ PatternIndex PatternIndex::Build(
           }
           // Frozen once: export/import and every copy of this index share
           // these words by pointer from here on.
-          post.subgraph_bits =
+          postings[static_cast<size_t>(c)].subgraph_bits =
               std::make_shared<const CoverageBits>(std::move(coverage));
-          if (index.database_indexed_) {
-            for (int i = 0; i < db->size(); ++i) {
-              if (FilteredContainsPattern(db->graph(i), p.graph(),
-                                          index.match_)) {
-                post.db_graphs.push_back(i);
+        }
+      });
+  if (index.database_indexed_) {
+    // codes_in[i]: the codes database graph i contains, ascending.
+    std::vector<std::vector<int>> codes_in(static_cast<size_t>(db->size()));
+    ThreadPool::ParallelForShards(
+        threads, threads * 4, db->size(), [&](const Shard& shard) {
+          for (int i = shard.begin; i < shard.end; ++i) {
+            const PreparedGraph g(db->graph(i));
+            for (int c = 0; c < num_codes; ++c) {
+              if (FilteredContainsPattern(
+                      g, prepared_reps[static_cast<size_t>(c)],
+                      index.match_)) {
+                codes_in[static_cast<size_t>(i)].push_back(c);
               }
             }
           }
-        }
-      });
+        });
+    for (int i = 0; i < db->size(); ++i) {
+      for (int c : codes_in[static_cast<size_t>(i)]) {
+        postings[static_cast<size_t>(c)].db_graphs.push_back(i);
+      }
+    }
+  }
 
   for (auto& [code, slot] : code_slot) {
     index.postings_.emplace(code, std::move(postings[slot]));

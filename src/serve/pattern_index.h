@@ -17,13 +17,13 @@
 //
 // Matching is kept only as a fallback for query patterns whose canonical
 // code is not in the index (non-exact containment queries) — those still
-// scan, but through the candidate-filtered matcher
-// (pattern/matcher.h) rather than blind backtracking; the filtered
-// matcher's answers are bit-identical to the legacy ContainsPattern scan
-// (pinned by the oracle parity suites). Fallback scans and inconsistent
-// postings (a known code missing its per-label bitset — possible only with
-// a logically corrupt snapshot) are counted in stats() and the latter is
-// logged loudly; both still return the correct answer via the scan.
+// scan, through the candidate-filtered matcher (pattern/matcher.h); the
+// answers are bit-identical to the legacy blind scan kept as a test oracle
+// (tests/oracle/legacy_view_store.h, pinned by the parity suites).
+// Fallback scans and inconsistent postings (a known code missing its
+// per-label bitset — possible only with a logically corrupt snapshot) are
+// counted in stats() and the latter is logged loudly; both still return
+// the correct answer via the scan.
 //
 // Complexity: Build is O(codes x (total subgraphs + database size)) pattern
 // matches, shardable across a thread pool (deterministic result for every
@@ -46,7 +46,7 @@
 
 #include "explain/explanation.h"
 #include "graph/graph_database.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "pattern/pattern.h"
 #include "store/snapshot.h"
 

@@ -1,6 +1,5 @@
 #include "serve/view_store.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace gvex {
@@ -29,7 +28,7 @@ const PatternIndex& ViewStore::EnsureIndex() const {
     build.match = match_options_;
     build.num_threads = options_.build_threads;
     // Even a view-less index must know the database so non-exact
-    // DatabaseGraphsWithPattern queries can fall back to the legacy scan.
+    // DatabaseGraphsWithPattern queries can fall back to a matcher scan.
     index_ = PatternIndex::Build(views_, db_, build);
     index_dirty_ = false;
   }
@@ -52,72 +51,20 @@ const std::vector<Pattern>& ViewStore::PatternsForLabel(int label) const {
 
 std::vector<int> ViewStore::GraphsWithPattern(int label,
                                               const Pattern& p) const {
-  if (options_.use_index) return EnsureIndex().GraphsWithPattern(label, p);
-  std::vector<int> out;
-  auto it = views_.find(label);
-  if (it == views_.end()) return out;
-  for (const auto& s : it->second.subgraphs) {
-    if (ContainsPattern(s.subgraph, p.graph(), match_options_)) {
-      out.push_back(s.graph_index);
-    }
-  }
-  return out;
+  return EnsureIndex().GraphsWithPattern(label, p);
 }
 
 std::vector<int> ViewStore::LabelsOfPattern(const Pattern& p) const {
-  if (options_.use_index) return EnsureIndex().LabelsOfPattern(p);
-  std::vector<int> out;
-  for (const auto& [label, view] : views_) {
-    for (const Pattern& q : view.patterns) {
-      if (q.IsomorphicTo(p)) {
-        out.push_back(label);
-        break;
-      }
-    }
-  }
-  return out;
+  return EnsureIndex().LabelsOfPattern(p);
 }
 
 std::vector<int> ViewStore::DatabaseGraphsWithPattern(const Pattern& p,
                                                       int label) const {
-  if (options_.use_index) {
-    return EnsureIndex().DatabaseGraphsWithPattern(p, label);
-  }
-  std::vector<int> out;
-  if (db_ == nullptr) return out;
-  for (int i = 0; i < db_->size(); ++i) {
-    if (label >= 0) {
-      const int l = db_->has_predictions() ? db_->predicted_label(i)
-                                           : db_->true_label(i);
-      if (l != label) continue;
-    }
-    if (ContainsPattern(db_->graph(i), p.graph(), match_options_)) {
-      out.push_back(i);
-    }
-  }
-  return out;
+  return EnsureIndex().DatabaseGraphsWithPattern(p, label);
 }
 
 std::vector<Pattern> ViewStore::DiscriminativePatterns(int label) const {
-  if (options_.use_index) return EnsureIndex().DiscriminativePatterns(label);
-  std::vector<Pattern> out;
-  auto it = views_.find(label);
-  if (it == views_.end()) return out;
-  for (const Pattern& p : it->second.patterns) {
-    bool found_elsewhere = false;
-    for (const auto& [other_label, other_view] : views_) {
-      if (other_label == label) continue;
-      for (const auto& s : other_view.subgraphs) {
-        if (ContainsPattern(s.subgraph, p.graph(), match_options_)) {
-          found_elsewhere = true;
-          break;
-        }
-      }
-      if (found_elsewhere) break;
-    }
-    if (!found_elsewhere) out.push_back(p);
-  }
-  return out;
+  return EnsureIndex().DiscriminativePatterns(label);
 }
 
 }  // namespace gvex

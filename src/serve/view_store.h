@@ -1,16 +1,16 @@
-// The legacy queryable view store (§1, Table 1), now a thin compatibility
-// shim over serve/pattern_index.h: every query routes through the inverted
+// The queryable view store (§1, Table 1): the historical single-threaded
+// API over serve/pattern_index.h. Every query routes through the inverted
 // index, so the answers the paper motivates ("which toxicophores occur in
 // mutagens?", "which graphs contain pattern P?") are hash lookups + bitset
-// walks instead of O(patterns x subgraphs) isomorphism scans.
+// walks instead of O(patterns x subgraphs) isomorphism scans; query
+// patterns the index has not seen fall back to a containment scan through
+// the candidate-filtered matcher (pattern/matcher.h).
 //
-// The original linear-scan implementation is retained behind
-// `ViewStoreOptions::use_index = false`. It is the ORACLE: the index is
-// pinned bit-identical to it by the parity test in
-// tests/serve/pattern_index_test.cpp, and the serving benchmark measures
-// the indexed path against it. New code should prefer serve/view_service.h
-// (concurrent, snapshot-swapped, cached); this class keeps the historical
-// single-threaded API for existing callers.
+// The original linear-scan store is kept as a test oracle
+// (tests/oracle/legacy_view_store.h): the index is pinned bit-identical to
+// it by the parity test in tests/serve/pattern_index_test.cpp, and the
+// serving benchmark measures the index against it. New code should prefer
+// serve/view_service.h (concurrent, snapshot-swapped, cached).
 //
 // Complexity: AddView only marks the index dirty; the O(codes x subgraphs
 // + codes x database) cross-product is paid once, on the first query after
@@ -31,7 +31,7 @@
 
 #include "explain/explanation.h"
 #include "graph/graph_database.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "pattern/pattern.h"
 #include "serve/pattern_index.h"
 
@@ -39,9 +39,6 @@ namespace gvex {
 
 /// Store behavior knobs.
 struct ViewStoreOptions {
-  /// Route queries through the PatternIndex (default). When false, every
-  /// query runs the legacy linear scan — the oracle the index is pinned to.
-  bool use_index = true;
   /// Workers used for index rebuilds (identical result for any count).
   int build_threads = 1;
 };
@@ -80,7 +77,7 @@ class ViewStore {
   /// Example 1.1).
   std::vector<Pattern> DiscriminativePatterns(int label) const;
 
-  /// The backing index, built on demand (empty when `use_index` is false).
+  /// The backing index, built on demand.
   const PatternIndex& index() const;
 
  private:

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "explain/stream_gvex.h"
+#include "oracle/legacy_view_store.h"
 #include "pattern/coverage.h"
 #include "serve/view_service.h"
-#include "serve/view_store.h"
 #include "test_util.h"
 #include "util/timer.h"
 
@@ -103,9 +103,7 @@ TEST(StreamCancellationTest, DeadlineInterruptedPrefixIsValidAndServable) {
                 labels.end());
   }
   // Indexed answers over the prefix view match the legacy scan oracle.
-  ViewStoreOptions legacy_opts;
-  legacy_opts.use_index = false;
-  ViewStore legacy(&fx.db, legacy_opts);
+  oracle::LegacyViewStore legacy(&fx.db);
   legacy.AddView(view);
   for (const Pattern& p : view.patterns) {
     EXPECT_EQ(legacy.GraphsWithPattern(label, p),

@@ -1,4 +1,4 @@
-#include "explain/view_query.h"
+#include "serve/view_store.h"
 
 #include <gtest/gtest.h>
 

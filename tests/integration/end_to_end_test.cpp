@@ -10,9 +10,9 @@
 #include "explain/metrics.h"
 #include "explain/stream_gvex.h"
 #include "explain/verify.h"
-#include "explain/view_query.h"
 #include "gnn/model_io.h"
 #include "gnn/trainer.h"
+#include "serve/view_store.h"
 #include "test_util.h"
 
 namespace gvex {

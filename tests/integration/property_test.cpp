@@ -1,5 +1,6 @@
 // Randomized cross-checks: reference (brute-force) implementations validate
-// the optimized substrates on random inputs.
+// the optimized substrates on random inputs — among them the production
+// subgraph matcher (pattern/matcher.h) against exhaustive enumeration.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 
 #include "la/matrix_ops.h"
 #include "la/sparse.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "util/rng.h"
 
 namespace gvex {
@@ -94,7 +95,7 @@ TEST_P(MatcherPropertyTest, Vf2AgreesWithBruteForceInduced) {
     MatchOptions opt;
     opt.semantics = semantics;
     opt.max_matches = 0;  // unlimited
-    auto matches = FindMatches(pattern, target, opt);
+    auto matches = FilteredFindMatches(pattern, target, opt);
     const int expected = BruteForceCountMatches(pattern, target, semantics);
     EXPECT_EQ(static_cast<int>(matches.size()), expected)
         << "semantics " << static_cast<int>(semantics);

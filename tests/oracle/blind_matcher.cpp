@@ -1,8 +1,9 @@
-#include "pattern/isomorphism.h"
+#include "oracle/blind_matcher.h"
 
 #include <algorithm>
 
 namespace gvex {
+namespace oracle {
 
 namespace {
 
@@ -178,4 +179,27 @@ bool GraphsIsomorphic(const Graph& a, const Graph& b) {
   return ContainsPattern(b, a, opt);
 }
 
+CoverageMask BlindCoverage(const Pattern& pattern, const Graph& g,
+                           const MatchOptions& options) {
+  CoverageMask mask;
+  mask.nodes.assign(static_cast<size_t>(g.num_nodes()), false);
+  mask.edges.assign(static_cast<size_t>(g.num_edges()), false);
+  for (const Match& m : FindMatches(pattern.graph(), g, options)) {
+    for (NodeId v : m) mask.nodes[static_cast<size_t>(v)] = true;
+    for (const Edge& pe : pattern.graph().edges()) {
+      const NodeId a = m[static_cast<size_t>(pe.u)];
+      const NodeId b = m[static_cast<size_t>(pe.v)];
+      for (size_t ei = 0; ei < g.edges().size(); ++ei) {
+        const Edge& ge = g.edges()[ei];
+        if ((ge.u == a && ge.v == b) || (ge.u == b && ge.v == a)) {
+          mask.edges[ei] = true;
+          break;
+        }
+      }
+    }
+  }
+  return mask;
+}
+
+}  // namespace oracle
 }  // namespace gvex

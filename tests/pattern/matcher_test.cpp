@@ -1,6 +1,6 @@
 // Randomized oracle-parity suite for the candidate-filtered matcher
 // (pattern/matcher.h) against the blind backtracking matcher
-// (pattern/isomorphism.h): same match SET on every probe, across induced /
+// (oracle/blind_matcher.h): same match SET on every probe, across induced /
 // non-induced semantics, label-less nodes, directed graphs, and
 // disconnected patterns; plus the budget path returning a sound "don't
 // know" and the McSplit maximum-common-subgraph search.
@@ -12,11 +12,14 @@
 #include <algorithm>
 #include <vector>
 
-#include "pattern/isomorphism.h"
+#include "oracle/blind_matcher.h"
 #include "util/rng.h"
 
 namespace gvex {
 namespace {
+
+using oracle::ContainsPattern;
+using oracle::FindMatches;
 
 struct GraphShape {
   int num_nodes = 8;

@@ -80,7 +80,6 @@ TEST(MinerTest, CoverageCountsAreSane) {
     EXPECT_GE(mp.support, 1);
     EXPECT_LE(mp.covered_nodes, 4);
     EXPECT_LE(mp.covered_edges, 3);
-    EXPECT_GT(mp.total_matches, 0);
   }
   // The 0-0 edge pattern covers all nodes and all edges of the path.
   bool found_full = false;

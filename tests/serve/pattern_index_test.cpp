@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "oracle/legacy_view_store.h"
 #include "serve/synthetic_store.h"
 #include "serve/view_service.h"
 #include "serve/view_store.h"
@@ -23,17 +24,14 @@ std::vector<std::string> Codes(const std::vector<Pattern>& patterns) {
   return out;
 }
 
-// The oracle: a legacy scan-mode store and an indexed store built over the
+// The oracle: the legacy scan store and an indexed store built over the
 // same randomized view set must answer every query bit-identically.
 class OracleParityTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
     store_ = synthetic::MakeSyntheticStore(GetParam());
-    ViewStoreOptions legacy_opts;
-    legacy_opts.use_index = false;
-    legacy_ = std::make_unique<ViewStore>(&store_.db, legacy_opts);
+    legacy_ = std::make_unique<oracle::LegacyViewStore>(&store_.db);
     ViewStoreOptions indexed_opts;
-    indexed_opts.use_index = true;
     // Exercise the sharded build on some seeds; results must not depend on
     // the worker count.
     indexed_opts.build_threads = GetParam() % 2 == 0 ? 4 : 1;
@@ -58,7 +56,7 @@ class OracleParityTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   synthetic::SyntheticStore store_;
-  std::unique_ptr<ViewStore> legacy_;
+  std::unique_ptr<oracle::LegacyViewStore> legacy_;
   std::unique_ptr<ViewStore> indexed_;
   std::vector<Pattern> queries_;
 };
